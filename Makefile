@@ -51,7 +51,7 @@ cover:
 # panic or reject their own fixtures without paying measurement time.
 .PHONY: bench-smoke
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkStreamingCorrelationAppend$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$' -benchtime 1x ./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace
+	$(GO) test -run '^$$' -bench 'BenchmarkPipelineProcess$$|BenchmarkMonitorStride$$|BenchmarkQuarantinePush$$|BenchmarkDWTDenoise$$|BenchmarkRootMUSIC$$|BenchmarkEstimateStage$$|BenchmarkStreamingCorrelationAppend$$|BenchmarkColumnarIngest$$|BenchmarkFleetDensity$$|BenchmarkStoreAppend$$|BenchmarkStoreRangeQuery$$|BenchmarkSpanIngestOverhead$$|BenchmarkTrendMedian$$|BenchmarkHampelSmooth$$' -benchtime 1x ./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace ./internal/dsp
 
 # A small, bounded run of the fleet daemon's in-process load harness:
 # opens sessions over sharded arenas with mid-run churn, and exits

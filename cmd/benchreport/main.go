@@ -53,9 +53,10 @@ func main() {
 // throughput benchmarks, the per-packet quarantine, DWT and root-MUSIC
 // hot paths, the columnar-ingest microbenchmarks, the fleet daemon's
 // session-density harness (sessions/core Extra metric), the trace
-// store's append and tier-query paths, and the latency tracer's
-// per-packet overhead (disabled and enabled).
-const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkStreamingCorrelationAppend$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$"
+// store's append and tier-query paths, the latency tracer's per-packet
+// overhead (disabled and enabled), and the two sliding-median smoothing
+// kernels at the paper's windows.
+const defaultBench = "BenchmarkPipelineProcess$|BenchmarkMonitorStride$|BenchmarkQuarantinePush$|BenchmarkDWTDenoise$|BenchmarkRootMUSIC$|BenchmarkEstimateStage$|BenchmarkStreamingCorrelationAppend$|BenchmarkColumnarIngest$|BenchmarkFleetDensity$|BenchmarkStoreAppend$|BenchmarkStoreRangeQuery$|BenchmarkSpanIngestOverhead$|BenchmarkTrendMedian$|BenchmarkHampelSmooth$"
 
 // defaultStrictAllocs selects the zero-alloc hot paths whose allocs/op
 // is gated with zero tolerance against the baseline: warm columnar
@@ -71,7 +72,7 @@ const defaultStrictAllocs = "BenchmarkColumnarIngest|BenchmarkQuarantinePush$|Be
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchreport", flag.ContinueOnError)
 	bench := fs.String("bench", defaultBench, "benchmark regex passed to go test -bench")
-	packages := fs.String("packages", "./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace", "space-separated packages to benchmark")
+	packages := fs.String("packages", "./internal/core ./internal/music ./internal/arena ./internal/fleet ./internal/store ./internal/otrace ./internal/dsp", "space-separated packages to benchmark")
 	benchtime := fs.String("benchtime", "200ms", "per-benchmark measurement time (go test -benchtime)")
 	count := fs.Int("count", 1, "benchmark repetitions; the fastest run per benchmark is kept")
 	cpu := fs.String("cpu", "1", "go test -cpu list; pinned to 1 so benchmark names and serial latency are machine-stable (empty = go default)")

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -16,9 +17,10 @@ const hampelScale = 1.4826
 // more than nsigma·1.4826·MAD it is replaced with the median.
 //
 // window is the full window length (an even value is extended by one to
-// stay centered). PhaseBeat uses Hampel(x, 2000, 0.01) to extract the slow
-// trend (the tiny threshold replaces nearly every sample with the local
-// median) and Hampel(x, 50, 0.01) as a high-frequency smoother.
+// stay centered). PhaseBeat uses a 2000-sample window with a tiny threshold
+// to extract the slow trend — that replaces nearly every sample with the
+// local median, which RunningMedianStrided computes directly — and
+// Hampel(x, 50, 0.01) as a high-frequency smoother.
 func Hampel(x []float64, window int, nsigma float64) ([]float64, error) {
 	return HampelInto(nil, x, window, nsigma)
 }
@@ -27,48 +29,7 @@ func Hampel(x []float64, window int, nsigma float64) ([]float64, error) {
 // filter state so the steady-state cost is allocation-free when dst has
 // capacity. It returns the filtered slice.
 func HampelInto(dst, x []float64, window int, nsigma float64) ([]float64, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("dsp: Hampel window must be positive, got %d", window)
-	}
-	if len(x) == 0 {
-		if dst == nil {
-			return nil, nil
-		}
-		return dst[:0], nil
-	}
-	out := growFloats(dst, len(x))
-	med := getMedianWindow(window + 1)
-	defer putMedianWindow(med)
-
-	half := window / 2
-	// Prime the window for index 0.
-	hi := half
-	if hi >= len(x) {
-		hi = len(x) - 1
-	}
-	for i := 0; i <= hi; i++ {
-		med.push(x[i])
-	}
-	for i := range x {
-		if i > 0 {
-			// Slide: add the new right edge, drop the old left edge.
-			if r := i + half; r < len(x) {
-				med.push(x[r])
-			}
-			if l := i - half - 1; l >= 0 {
-				med.remove(x[l])
-			}
-		}
-		m := med.median()
-		mad := med.mad(m)
-		sigma := hampelScale * mad
-		if math.Abs(x[i]-m) > nsigma*sigma {
-			out[i] = m
-		} else {
-			out[i] = x[i]
-		}
-	}
-	return out, nil
+	return HampelRange(dst, x, 0, len(x), window, nsigma, 0, len(x))
 }
 
 // HampelRange computes the same values Hampel(x, window, nsigma) would
@@ -78,6 +39,11 @@ func HampelInto(dst, x []float64, window int, nsigma float64) ([]float64, error)
 // [max(0, lo-window/2), min(n, hi+window/2)). Output index i of the result
 // corresponds to signal index lo+i. The values are identical to the full
 // filter's because a sample's output depends only on its centered window.
+//
+// The window is a sorted slice (medianWindow): each step costs an O(log w)
+// search for the leaving sample, a shift of the samples between it and the
+// entering sample's place, and an O(log w) median-absolute-deviation
+// selection.
 func HampelRange(dst, view []float64, viewStart, n, window int, nsigma float64, lo, hi int) ([]float64, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dsp: Hampel window must be positive, got %d", window)
@@ -106,7 +72,8 @@ func HampelRange(dst, view []float64, viewStart, n, window int, nsigma float64, 
 	med := getMedianWindow(window + 1)
 	defer putMedianWindow(med)
 
-	// Prime the window for index lo; it then slides exactly as in Hampel.
+	// Prime the window for index lo by sorting its samples; it then slides
+	// one sample at a time.
 	first := lo - half
 	if first < 0 {
 		first = 0
@@ -115,22 +82,27 @@ func HampelRange(dst, view []float64, viewStart, n, window int, nsigma float64, 
 	if last >= n {
 		last = n - 1
 	}
-	for i := first; i <= last; i++ {
-		med.push(at(i))
-	}
+	med.sorted = append(med.sorted, view[first-viewStart:last+1-viewStart]...)
+	slices.Sort(med.sorted)
 	for i := lo; i < hi; i++ {
 		if i > lo {
-			if r := i + half; r < n {
+			// Slide: add the new right edge, drop the old left edge.
+			r, l := i+half, i-half-1
+			switch {
+			case r < n && l >= first:
+				med.replace(at(l), at(r))
+			case r < n:
 				med.push(at(r))
-			}
-			if l := i - half - 1; l >= first {
+			case l >= first:
 				med.remove(at(l))
 			}
 		}
 		m := med.median()
-		mad := med.mad(m)
-		sigma := hampelScale * mad
-		if math.Abs(at(i)-m) > nsigma*sigma {
+		d := math.Abs(at(i) - m)
+		// mad ≤ madBound, so a sample past the bound's threshold is past
+		// the MAD's too: only samples near the median need the exact MAD.
+		if nsigma >= 0 && d > nsigma*(hampelScale*med.madBound(m)) ||
+			d > nsigma*(hampelScale*med.mad(m)) {
 			out[i-lo] = m
 		} else {
 			out[i-lo] = at(i)
@@ -149,42 +121,25 @@ func growFloats(dst []float64, n int) []float64 {
 }
 
 // HampelTrend returns the sliding-window median of x — the "basic trend"
-// PhaseBeat extracts with a large Hampel window before detrending.
+// PhaseBeat extracts with a large Hampel window before detrending. (A
+// Hampel filter with a zero threshold replaces every sample with its window
+// median.)
 func HampelTrend(x []float64, window int) ([]float64, error) {
-	// A threshold of zero replaces every sample with the window median.
-	return Hampel(x, window, 0)
+	return RunningMedian(x, window)
 }
 
 // RunningMedian returns the centered sliding-window median of x with the
 // given full window length.
 func RunningMedian(x []float64, window int) ([]float64, error) {
-	return HampelTrend(x, window)
+	return RunningMedianStrided(x, window, 1)
 }
 
 // RunningMedianStrided evaluates the centered window median only at sample
-// indices 0, stride, 2·stride, … and linearly interpolates between those
-// anchor points. With stride 1 it equals RunningMedian. The evaluation at
-// each anchor sorts the window directly, so total cost is
-// O(n/stride · w log w) with no incremental state.
+// indices 0, stride, 2·stride, … (and the last index) and linearly
+// interpolates between those anchor points. With stride 1 it equals
+// RunningMedian. See RunningMedianStridedRange for the cost.
 func RunningMedianStrided(x []float64, window, stride int) ([]float64, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("dsp: median window must be positive, got %d", window)
-	}
-	if stride <= 0 {
-		return nil, fmt.Errorf("dsp: stride must be positive, got %d", stride)
-	}
-	if stride == 1 {
-		return RunningMedian(x, window)
-	}
-	n := len(x)
-	if n == 0 {
-		return nil, nil
-	}
-	out, err := RunningMedianStridedRange(nil, x, window, stride, 0, n)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return RunningMedianStridedRange(nil, x, window, stride, 0, len(x))
 }
 
 // RunningMedianStridedRange computes the same values
@@ -193,6 +148,12 @@ func RunningMedianStrided(x []float64, window, stride int) ([]float64, error) {
 // to signal index lo+i. Anchor positions are derived from the full signal
 // length, so a sub-range evaluation matches the full evaluation exactly —
 // the invariant the incremental Monitor relies on.
+//
+// Cost: the span the needed windows cover (hi-lo+window samples) is ranked
+// once by a linear-time radix argsort; each sample then enters and leaves
+// the window in O(1), and each anchor's median is found by a popcount walk
+// from the previous anchor's, a few words when the median drifts slowly.
+// Nothing is allocated at steady state beyond dst.
 func RunningMedianStridedRange(dst, x []float64, window, stride, lo, hi int) ([]float64, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("dsp: median window must be positive, got %d", window)
@@ -243,35 +204,26 @@ func RunningMedianStridedRange(dst, x []float64, window, stride, lo, hi int) ([]
 		*anchorBuf = make([]float64, aTo-aFrom+1)
 	}
 	anchorVal := (*anchorBuf)[:aTo-aFrom+1]
-	med := getMedianWindow(window + stride + 2)
-	defer putMedianWindow(med)
-	// Prime the multiset for the first needed anchor, then slide across the
-	// rest; the window content at each anchor is identical to the full
-	// evaluation's, so the medians are bit-identical.
-	winLo := anchorAt(aFrom) - half
-	if winLo < 0 {
-		winLo = 0
-	}
-	winHi := winLo - 1
+	// Rank every sample the needed anchors' windows cover, then slide the
+	// window across the anchors. The window content at each anchor is
+	// identical to the full evaluation's, so the medians are bit-identical.
+	spanLo := max(anchorAt(aFrom)-half, 0)
+	spanHi := min(anchorAt(aTo)+half, n-1)
+	rw := getRankWindow()
+	defer putRankWindow(rw)
+	rw.build(x[spanLo : spanHi+1])
+	winLo, winHi := spanLo, spanLo-1
 	for a := aFrom; a <= aTo; a++ {
 		i := anchorAt(a)
-		newLo := i - half
-		if newLo < 0 {
-			newLo = 0
-		}
-		newHi := i + half
-		if newHi >= n {
-			newHi = n - 1
-		}
-		for winHi < newHi {
+		for winHi < min(i+half, n-1) {
 			winHi++
-			med.push(x[winHi])
+			rw.add(winHi - spanLo)
 		}
-		for winLo < newLo {
-			med.remove(x[winLo])
+		for winLo < max(i-half, 0) {
+			rw.drop(winLo - spanLo)
 			winLo++
 		}
-		anchorVal[a-aFrom] = med.median()
+		anchorVal[a-aFrom] = rw.median()
 	}
 	out := growFloats(dst, hi-lo)
 	seg := aFrom
@@ -290,118 +242,9 @@ func RunningMedianStridedRange(dst, x []float64, window, stride, lo, hi int) ([]
 	return out, nil
 }
 
-// medianWindow maintains a multiset of samples supporting O(w) insert,
-// remove, median and MAD queries on a sorted backing slice. For the window
-// sizes PhaseBeat uses (50 and 2000) the memmove-based operations are fast
-// in practice and require no allocation after construction.
-type medianWindow struct {
-	sorted  []float64
-	scratch []float64
-}
-
-func newMedianWindow(capacity int) *medianWindow {
-	return &medianWindow{
-		sorted:  make([]float64, 0, capacity),
-		scratch: make([]float64, 0, capacity),
-	}
-}
-
-// medianWindowPool recycles filter state across calls so the Hampel-heavy
-// hot paths (batch calibration, the incremental monitor) stay allocation-free
-// at steady state.
 // anchorPool recycles the per-call anchor-median scratch of
 // RunningMedianStridedRange: the streaming monitor evaluates the ranged
 // median once or twice per subcarrier per stride, and the anchor count is
 // small, so pooling removes the last per-subcarrier allocation of a warm
 // stride.
 var anchorPool = sync.Pool{New: func() any { return new([]float64) }}
-
-var medianWindowPool = sync.Pool{New: func() any { return new(medianWindow) }}
-
-func getMedianWindow(capacity int) *medianWindow {
-	w := medianWindowPool.Get().(*medianWindow)
-	if cap(w.sorted) < capacity {
-		w.sorted = make([]float64, 0, capacity)
-		w.scratch = make([]float64, 0, capacity)
-	} else {
-		w.sorted = w.sorted[:0]
-		w.scratch = w.scratch[:0]
-	}
-	return w
-}
-
-func putMedianWindow(w *medianWindow) { medianWindowPool.Put(w) }
-
-func (w *medianWindow) push(v float64) {
-	i := lowerBound(w.sorted, v)
-	w.sorted = append(w.sorted, 0)
-	copy(w.sorted[i+1:], w.sorted[i:])
-	w.sorted[i] = v
-}
-
-func (w *medianWindow) remove(v float64) {
-	i := lowerBound(w.sorted, v)
-	if i < len(w.sorted) && w.sorted[i] == v {
-		copy(w.sorted[i:], w.sorted[i+1:])
-		w.sorted = w.sorted[:len(w.sorted)-1]
-	}
-}
-
-func (w *medianWindow) median() float64 {
-	n := len(w.sorted)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return w.sorted[n/2]
-	}
-	return (w.sorted[n/2-1] + w.sorted[n/2]) / 2
-}
-
-// mad returns the median absolute deviation of the window around m.
-func (w *medianWindow) mad(m float64) float64 {
-	n := len(w.sorted)
-	if n == 0 {
-		return 0
-	}
-	// |sorted[i]-m| is V-shaped over the sorted slice: decreasing below m,
-	// increasing above. Merge the two monotone halves to find the median of
-	// the deviations in O(n) without sorting.
-	w.scratch = w.scratch[:0]
-	lo := lowerBound(w.sorted, m) - 1 // last element < m (walk leftwards)
-	hi := lo + 1                      // first element >= m (walk rightwards)
-	for len(w.scratch) < n {
-		switch {
-		case lo < 0:
-			w.scratch = append(w.scratch, w.sorted[hi]-m)
-			hi++
-		case hi >= n:
-			w.scratch = append(w.scratch, m-w.sorted[lo])
-			lo--
-		case m-w.sorted[lo] <= w.sorted[hi]-m:
-			w.scratch = append(w.scratch, m-w.sorted[lo])
-			lo--
-		default:
-			w.scratch = append(w.scratch, w.sorted[hi]-m)
-			hi++
-		}
-	}
-	if n%2 == 1 {
-		return w.scratch[n/2]
-	}
-	return (w.scratch[n/2-1] + w.scratch[n/2]) / 2
-}
-
-// lowerBound returns the first index i with sorted[i] >= v.
-func lowerBound(sorted []float64, v float64) int {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

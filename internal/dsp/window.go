@@ -39,31 +39,3 @@ func Hamming(n int) []float64 {
 	}
 	return w
 }
-
-// Blackman returns the symmetric Blackman window.
-func Blackman(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		t := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(t) + 0.08*math.Cos(2*t)
-	}
-	return w
-}
-
-// ApplyWindow multiplies x element-wise by window w, returning a new slice.
-// The shorter length of the two is used.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
-}

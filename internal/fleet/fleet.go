@@ -393,6 +393,43 @@ func (m *Manager) CloseSession(key string) (core.Health, error) {
 	return h, nil
 }
 
+// Drain finishes the fleet's backlog: it returns once every packet Ingest
+// has already accepted has been routed by its shard and processed by its
+// session — including the strides those packets complete — and every
+// resulting update is published. A drained session accepts no further
+// packets, so Drain ends a feed: call it after the producers have
+// stopped, then read the final counts and Close. It returns at once on a
+// closed Manager.
+func (m *Manager) Drain() {
+	// The mailboxes are FIFO: once a shard acknowledges a barrier sent
+	// behind its queued packets, all of them have reached their Monitors.
+	for _, sh := range m.shards {
+		done := make(chan struct{})
+		select {
+		case sh.mailbox <- ingestMsg{barrier: done}:
+		case <-m.stop:
+			return
+		}
+		select {
+		case <-done:
+		case <-m.stop:
+			return
+		}
+	}
+	for _, sh := range m.shards {
+		sh.mu.RLock()
+		live := make([]*Session, 0, len(sh.sessions))
+		for _, s := range sh.sessions {
+			live = append(live, s)
+		}
+		sh.mu.RUnlock()
+		for _, s := range live {
+			s.mon.Drain()
+			<-s.drained
+		}
+	}
+}
+
 // Close stops the shards, then closes every remaining session and waits
 // for their workers. Safe to call multiple times.
 func (m *Manager) Close() {
@@ -543,6 +580,9 @@ type ingestMsg struct {
 	key string
 	pkt trace.Packet
 	ot  otrace.Ctx
+	// barrier, when non-nil, marks a Drain barrier instead of a packet:
+	// the shard closes it once every earlier message has been routed.
+	barrier chan struct{}
 }
 
 // shard owns one slice of the session space: a goroutine draining the
@@ -573,6 +613,10 @@ func (sh *shard) run() {
 		case <-sh.stop:
 			return
 		case msg := <-sh.mailbox:
+			if msg.barrier != nil {
+				close(msg.barrier)
+				continue
+			}
 			sh.mu.RLock()
 			s := sh.sessions[msg.key]
 			sh.mu.RUnlock()

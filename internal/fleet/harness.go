@@ -262,10 +262,9 @@ func RunHarness(cfg HarnessConfig) (HarnessResult, error) {
 		return HarnessResult{}, feedErr
 	}
 
-	// Let the shards drain their mailboxes and the monitors their queues
-	// before the teardown barrier: updates stop growing once everything
-	// buffered has been processed.
-	waitSettled(mgr)
+	// Finish every queued packet and stride before counting: the feed is
+	// done, and Close would abandon whatever is still queued.
+	mgr.Drain()
 
 	res.MinSessionUpdates = minSessionUpdates(mgr)
 	mgr.Close()
@@ -335,23 +334,6 @@ func sameShardKey(m *Manager, old, salt string) string {
 		if m.shardFor(k) == target {
 			return k
 		}
-	}
-}
-
-// waitSettled polls until the fleet's processed-packet count stops
-// moving (bounded at ten seconds): the feed is done, so a quiet interval
-// means mailboxes and session queues have drained.
-func waitSettled(m *Manager) {
-	deadline := time.Now().Add(10 * time.Second)
-	prev := uint64(0)
-	for time.Now().Before(deadline) {
-		h := m.Health()
-		cur := h.Accepted + h.PacketsDropped + h.Quarantined()
-		if cur == prev && cur > 0 {
-			return
-		}
-		prev = cur
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"phasebeat/internal/metrics"
@@ -56,6 +57,44 @@ func TestRunHarnessSmoke(t *testing.T) {
 	opened := gaugeValue(t, reg, "fleet.sessions.opened")
 	if want := float64(cfg.Sessions + res.Churned); opened != want {
 		t.Fatalf("fleet.sessions.opened = %v, want %v", opened, want)
+	}
+}
+
+// TestRunHarnessCountsEveryStride pins the end of a harness run at the
+// paper's rate: on one core the feed finishes long before the monitors
+// do, and every stride still queued then must be processed and counted
+// before teardown. A settle that polled the processed-packet counter took
+// a stalled counter — one stride running — for a finished fleet, and the
+// teardown abandoned the remaining strides.
+func TestRunHarnessCountsEveryStride(t *testing.T) {
+	if testing.Short() {
+		t.Skip("load harness")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const sessions = 4
+	res, err := RunHarness(HarnessConfig{
+		Sessions:      sessions,
+		Shards:        1,
+		Feeders:       1,
+		SampleRate:    400,
+		Seconds:       36,
+		WindowSeconds: 20,
+		StrideSeconds: 4,
+		Antennas:      2,
+		Subcarriers:   30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(res.String())
+	// The first update needs a full window, then one per stride.
+	const perSession = (36-20)/4 + 1
+	if res.MinSessionUpdates != perSession || res.Updates != sessions*perSession {
+		t.Fatalf("got %d updates (min %d/session), want %d per session: %s",
+			res.Updates, res.MinSessionUpdates, perSession, res)
+	}
+	if res.Health.PacketsDropped != 0 {
+		t.Fatalf("harness shed %d packets", res.Health.PacketsDropped)
 	}
 }
 

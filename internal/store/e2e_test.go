@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"phasebeat/internal/core"
 	"phasebeat/internal/csisim"
@@ -134,29 +133,21 @@ func TestHourSessionEndToEnd(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(3 * time.Minute)
-	for mgr.Health().Accepted < uint64(n) {
-		if time.Now().After(deadline) {
-			t.Fatalf("monitor stalled: %+v", mgr.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Drain: the session finishes every queued packet and stride, and its
+	// delivery pump hands every update — the final one included — to the
+	// recorder before Drain returns. Nothing is closed or sealed, so the
+	// kill below still abandons the store mid-session. (Polling the tiers
+	// for a late-enough bin instead could read the second-to-last update
+	// while the final one was still in flight.)
+	mgr.Drain()
+	if h := mgr.Health(); h.Accepted != uint64(n) || h.PacketsDropped != 0 {
+		t.Fatalf("live session accepted %d of %d packets and dropped %d despite full-feed buffer",
+			h.Accepted, n, h.PacketsDropped)
 	}
-	if d := mgr.Health().PacketsDropped; d != 0 {
-		t.Fatalf("live session dropped %d packets despite full-feed buffer", d)
-	}
-	// The recorder sees updates on the session's drain goroutine; wait
-	// until the final stride's estimate has landed in the tiers before
-	// pulling the plug.
-	for {
-		res, err := st.Range(key, 0, math.Inf(1), "1s")
-		if err == nil && len(res.Breathing) > 0 &&
-			res.Breathing[len(res.Breathing)-1].Start >= float64(seconds)-4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("final live update never recorded (err=%v)", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	live, err := st.Range(key, 0, math.Inf(1), "1s")
+	if err != nil || len(live.Breathing) == 0 ||
+		live.Breathing[len(live.Breathing)-1].Start < float64(seconds)-4 {
+		t.Fatalf("final live update never recorded (err=%v)", err)
 	}
 	liveBPM, ok := st.LastBPM(key)
 	if !ok {

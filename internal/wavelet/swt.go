@@ -68,14 +68,6 @@ func SWT(x []float64, w *Wavelet, levels int) (*SWTDecomposition, error) {
 	return d, nil
 }
 
-// ISWT reconstructs the signal from all bands. For each level the inverse
-// à trous step averages the two half-phase inverse filters, which for
-// orthonormal filter pairs reduces to correlating with the synthesis
-// filters and halving.
-func (d *SWTDecomposition) ISWT() ([]float64, error) {
-	return d.reconstruct(true, nil)
-}
-
 // ReconstructApprox rebuilds the signal from the approximation band only.
 func (d *SWTDecomposition) ReconstructApprox() ([]float64, error) {
 	keep := make([]bool, d.levels)

@@ -7,7 +7,9 @@ import (
 	"testing/quick"
 )
 
-// Property: ISWT(SWT(x)) == x for random signals, wavelets and depths.
+// Property: the inverse cascade over every band reconstructs x from
+// SWT(x) for random signals, wavelets and depths — the identity the
+// band-selective reconstructions build on.
 func TestSWTPerfectReconstructionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	f := func(seed int64) bool {
@@ -28,7 +30,7 @@ func TestSWTPerfectReconstructionProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		y, err := d.ISWT()
+		y, err := d.reconstruct(true, nil)
 		if err != nil {
 			return false
 		}
@@ -179,7 +181,7 @@ func TestSWTErrors(t *testing.T) {
 		t.Error("want error for detail level beyond depth")
 	}
 	var empty SWTDecomposition
-	if _, err := empty.ISWT(); err == nil {
+	if _, err := empty.ReconstructApprox(); err == nil {
 		t.Error("want error for empty decomposition")
 	}
 }
